@@ -49,8 +49,7 @@ func run(args []string) error {
 		fed         = fs.String("federation", "", "comma-separated federation member addresses; this process serves the -member-index'th partition")
 		memberIdx   = fs.Int("member-index", 0, "this manager's index in the -federation member list")
 		journal     = fs.String("journal", "", "metadata journal path (optional)")
-		syncJournal = fs.Bool("sync-journal", false, "journal synchronously inside the commit critical section (historical mode; default is the ordered async writer, which can lose a small acknowledged-but-unjournaled window on process crash)")
-		fsyncJrnl   = fs.Bool("fsync-journal", false, "group-commit durability: every commit blocks until its journal batch is fsynced; concurrent commits share one fsync, so no acknowledged commit can be lost to a crash")
+		fsyncJrnl   = fs.Bool("fsync-journal", false, "group-commit durability: every commit blocks until its journal batch is fsynced; concurrent commits share one fsync, so no acknowledged commit can be lost to a crash (default: relaxed, which can lose a small acknowledged-but-unjournaled window on process crash)")
 		snapEvery   = fs.Duration("snapshot-interval", 0, "write periodic catalog snapshots and truncate the journal behind them (0 = snapshots off; restart then replays the full journal)")
 		mapCache    = fs.Bool("map-cache", true, "serve repeat getMaps from the hot-map cache (false = rebuild and re-sort locations per read, the ablation baseline)")
 		recover     = fs.Bool("recover", false, "start in recovery mode: rebuild metadata from benefactor-held chunk-map replicas")
@@ -88,7 +87,6 @@ func run(args []string) error {
 		FederationMembers:   members,
 		MemberIndex:         *memberIdx,
 		JournalPath:         *journal,
-		SyncJournal:         *syncJournal,
 		FsyncJournal:        *fsyncJrnl,
 		SnapshotInterval:    *snapEvery,
 		Recover:             *recover,

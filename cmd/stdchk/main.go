@@ -36,7 +36,6 @@ import (
 
 	"stdchk/internal/client"
 	"stdchk/internal/core"
-	"stdchk/internal/federation"
 	"stdchk/internal/metrics"
 	"stdchk/internal/proto"
 )
@@ -83,22 +82,8 @@ func (o *connOpts) connect(cfg client.Config) (*client.Client, error) {
 	cfg.DataMux = *o.dataMux
 	cfg.UploadWindow = *o.uploadWindow
 	cfg.ReadBatch = *o.readBatch
-	if members := federation.SplitMembers(*o.manager); len(members) > 1 {
-		// A member list makes this client federation-aware: dataset-scoped
-		// calls route to the partition owner, the rest fan out.
-		r, err := federation.NewRouter(federation.RouterConfig{
-			Members:        members,
-			SharedConns:    *o.mux > 0,
-			PerMemberConns: *o.mux,
-		})
-		if err != nil {
-			return nil, err
-		}
-		cfg.Endpoint = r // the client owns and closes it
-	} else {
-		cfg.ManagerAddr = *o.manager
-		cfg.SharedManagerConns = *o.mux
-	}
+	cfg.ManagerAddr = *o.manager
+	cfg.SharedManagerConns = *o.mux
 	return client.New(cfg)
 }
 

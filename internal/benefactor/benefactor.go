@@ -324,17 +324,26 @@ func (b *Benefactor) handle(req *wire.Req) (wire.Resp, error) {
 	}
 }
 
+// putChunk stamps the chunk's birth before storing it, so a concurrent GC
+// round can never see the id indexed without a fresh birth and report an
+// uncommitted upload as aged. A re-put refreshes the birth: its commit is
+// about to reference the chunk again. A failed Put of a new chunk drops
+// its stamp, unless a concurrent Put of the same id has restamped it.
 func (b *Benefactor) putChunk(id core.ChunkID, data []byte) (bool, error) {
-	retained, err := b.chunks.Put(id, data)
-	if err != nil {
-		return retained, err
-	}
+	now := time.Now()
 	b.mu.Lock()
-	if _, ok := b.births[id]; !ok {
-		b.births[id] = time.Now()
-	}
+	_, had := b.births[id]
+	b.births[id] = now
 	b.mu.Unlock()
-	return retained, nil
+	retained, err := b.chunks.Put(id, data)
+	if err != nil && !had {
+		b.mu.Lock()
+		if b.births[id].Equal(now) {
+			delete(b.births, id)
+		}
+		b.mu.Unlock()
+	}
+	return retained, err
 }
 
 // fetchChunk reads one chunk into a pooled buffer sized to the chunk, so
@@ -628,12 +637,21 @@ func (b *Benefactor) CollectGarbage() (int, error) {
 	}
 	deleted := 0
 	for _, id := range resp.Deletable {
-		if err := b.chunks.Delete(id); err != nil {
+		// Re-check the birth under the lock: a Put that refreshed it
+		// since the report is uploading the chunk for a new commit.
+		b.mu.Lock()
+		if birth, ok := b.births[id]; ok && !birth.Before(cutoff) {
+			b.mu.Unlock()
+			continue
+		}
+		err := b.chunks.Delete(id)
+		if err == nil {
+			delete(b.births, id)
+		}
+		b.mu.Unlock()
+		if err != nil {
 			return deleted, err
 		}
-		b.mu.Lock()
-		delete(b.births, id)
-		b.mu.Unlock()
 		deleted++
 	}
 	return deleted, nil

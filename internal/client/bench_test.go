@@ -33,12 +33,12 @@ func BenchmarkEmitChunkPipelineCbCH(b *testing.B) {
 }
 
 // BenchmarkOpenRead measures the restart fast path end to end: one op is
-// Open (or OpenVersion) of a committed 8-chunk image plus a full read and
-// Close, against an unshaped in-process manager and 4 benefactors. The
-// cached variants re-open through the client chunk-map cache (explicit
-// version: zero manager RPCs; latest: one MStatVersion probe); uncached
-// is the historical full-getMap path. The bench-compare CI job gates
-// allocs/op on this path.
+// Open (latest, or an explicit Version) of a committed 8-chunk image plus
+// a full read and Close, against an unshaped in-process manager and 4
+// benefactors. The cached variants re-open through the client chunk-map
+// cache (explicit version: zero manager RPCs; latest: one MStatVersion
+// probe); uncached is the historical full-getMap path. The bench-compare
+// CI job gates allocs/op on this path.
 func BenchmarkOpenRead(b *testing.B) {
 	for _, variant := range []struct {
 		name         string

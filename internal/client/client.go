@@ -17,6 +17,7 @@ import (
 	"stdchk/internal/chunker"
 	"stdchk/internal/core"
 	"stdchk/internal/device"
+	"stdchk/internal/federation"
 	"stdchk/internal/namespace"
 	"stdchk/internal/proto"
 	"stdchk/internal/wire"
@@ -82,12 +83,14 @@ func (m ChunkingMode) String() string {
 
 // Config parameterizes a Client.
 type Config struct {
-	// ManagerAddr is the metadata manager address. Ignored when Endpoint
-	// is set.
+	// ManagerAddr is the metadata manager address, or a comma-separated
+	// federation member list. Either way the client reaches it through a
+	// federation Router; one address is a one-member federation. Ignored
+	// when Endpoint is set.
 	ManagerAddr string
-	// Endpoint overrides the default single-manager metadata endpoint —
-	// a federation router, for instance. The Client takes ownership and
-	// closes it.
+	// Endpoint overrides the metadata endpoint built from ManagerAddr —
+	// a fake in tests, or a wrapper that instruments a Router. The Client
+	// takes ownership and closes it.
 	Endpoint ManagerEndpoint
 	// StripeWidth is the number of benefactors to stripe writes across
 	// (0 = manager default).
@@ -158,13 +161,12 @@ type Config struct {
 	// job/rank wrote each checkpoint). Empty leaves lineage anonymous.
 	Writer string
 	// SharedManagerConns, when positive, multiplexes the client's
-	// metadata RPCs over that many shared session-tagged connections to
-	// the manager instead of one pooled connection per outstanding call
-	// — the million-writer topology, where socket count stops scaling
-	// with writer count. Zero keeps the historical per-call pool. Chunk
-	// traffic to benefactors is governed separately by DataMux. Ignored
-	// when Endpoint is set; a federated Router selects shared mode via
-	// its own RouterConfig.SharedConns.
+	// metadata RPCs over that many shared session-tagged connections per
+	// manager instead of one pooled connection per outstanding call —
+	// the million-writer topology, where socket count stops scaling with
+	// writer count. Zero keeps the per-call pool. Chunk traffic to
+	// benefactors is governed separately by DataMux. Ignored when
+	// Endpoint is set.
 	SharedManagerConns int
 	// DataMux moves chunk traffic to benefactors onto shared
 	// session-tagged (multiplexed) connections and pipelines the data
@@ -225,17 +227,14 @@ func (c Config) withDefaults() Config {
 type Client struct {
 	cfg  Config
 	pool *wire.Pool
-	// mgrPool, when non-nil, is a shared (multiplexed) pool dedicated to
-	// manager metadata RPCs (Config.SharedManagerConns); owned here.
-	mgrPool *wire.Pool
 	// dataPool, when non-nil, is the shared (multiplexed) pool carrying
 	// pipelined chunk traffic to benefactors (Config.DataMux): batched
 	// reads and windowed uploads tag their frames and share these
 	// sockets instead of dialing per call. Owned here; nil when DataMux
 	// is off and chunk traffic rides the serial pool.
 	dataPool *wire.Pool
-	// mgr is the metadata service seam: a single manager or a federated
-	// router, resolved once at construction.
+	// mgr is the metadata service seam: the Router over
+	// Config.ManagerAddr, or Config.Endpoint.
 	mgr ManagerEndpoint
 
 	// maps caches committed chunk-maps by (dataset, version) — the
@@ -299,20 +298,26 @@ func New(cfg Config) (*Client, error) {
 	if cacheEntries == 0 {
 		cacheEntries = defaultClientMapCacheEntries
 	}
+	mgr := cfg.Endpoint
+	if mgr == nil {
+		r, err := federation.NewRouter(federation.RouterConfig{
+			Members:        federation.SplitMembers(cfg.ManagerAddr),
+			Shaper:         cfg.Shaper,
+			SharedConns:    cfg.SharedManagerConns > 0,
+			PerMemberConns: cfg.SharedManagerConns,
+			Logger:         cfg.Logger,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("client: %w", err)
+		}
+		mgr = r
+	}
 	c := &Client{
 		cfg:        cfg,
 		pool:       wire.NewPool(cfg.Shaper, 8),
+		mgr:        mgr,
 		maps:       newMapCache(cacheEntries),
 		benefAddrs: make(map[core.NodeID]string),
-	}
-	switch {
-	case cfg.Endpoint != nil:
-		c.mgr = cfg.Endpoint
-	case cfg.SharedManagerConns > 0:
-		c.mgrPool = wire.NewSharedPool(cfg.Shaper, cfg.SharedManagerConns)
-		c.mgr = &singleManager{pool: c.mgrPool, addr: cfg.ManagerAddr}
-	default:
-		c.mgr = &singleManager{pool: c.pool, addr: cfg.ManagerAddr}
 	}
 	if cfg.DataMux {
 		// Two shared conns per benefactor: one keeps the pipe full for
@@ -328,9 +333,6 @@ func New(cfg Config) (*Client, error) {
 func (c *Client) Close() error {
 	err := c.mgr.Close()
 	c.pool.Close()
-	if c.mgrPool != nil {
-		c.mgrPool.Close()
-	}
 	if c.dataPool != nil {
 		c.dataPool.Close()
 	}
@@ -460,16 +462,6 @@ func (c *Client) Open(name string, opts ...OpenOptions) (*Reader, error) {
 		r.base = base
 	}
 	return r, nil
-}
-
-// OpenVersion opens a specific committed version (0 = latest).
-//
-// Deprecated: use Open(name, OpenOptions{Version: ver}).
-func (c *Client) OpenVersion(name string, ver core.VersionID) (*Reader, error) {
-	if ver == 0 {
-		return c.Open(name)
-	}
-	return c.Open(name, OpenOptions{Version: ver})
 }
 
 // resolveAsOf maps an instant to the newest version committed at or

@@ -9,7 +9,7 @@ import (
 	"stdchk/internal/proto"
 )
 
-// mapCache is the client-side chunk-map cache behind Open/OpenVersion,
+// mapCache is the client-side chunk-map cache behind Open,
 // keyed by (dataset key, version). Checkpoint versions are immutable once
 // committed — the chunk list of (dataset, version) never changes — so an
 // explicit-version open that hits serves its map with zero manager RPCs.

@@ -146,12 +146,12 @@ func TestManagerLoadSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"single-mutex", "striped", "striped+jsync", "striped+jasync", "striped+jfsync", "64", "256", "paper", "async/sync journal", "group-commit fsync"} {
+	for _, want := range []string{"single-mutex", "striped", "striped+jasync", "striped+jfsync", "64", "256", "paper", "group-commit fsync"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
 	}
-	// Twenty-five JSON lines: 5 variants x 5 writer counts, each with a
+	// Twenty JSON lines: 4 variants x 5 writer counts, each with a
 	// positive tps; the group-commit variant must show its fsyncs being
 	// amortized over multiple records.
 	lines := 0
@@ -181,8 +181,8 @@ func TestManagerLoadSmoke(t *testing.T) {
 			}
 		}
 	}
-	if lines != 25 {
-		t.Fatalf("%d JSON records, want 25", lines)
+	if lines != 20 {
+		t.Fatalf("%d JSON records, want 20", lines)
 	}
 	if fsyncCells != 5 {
 		t.Fatalf("%d striped+jfsync cells, want 5", fsyncCells)

@@ -22,18 +22,13 @@ import (
 // never pushed: hundreds of small checkpointing clients hitting the
 // metadata plane at once (workload.ManyWriters).
 //
-// Five manager variants run the same sweep on the same machine:
+// Four manager variants run the same sweep on the same machine:
 //
 //   - stripes=1: the historical single-mutex catalog (every alloc,
 //     extend, dedup probe and commit serializes on one lock);
 //   - striped: the default lock-striped catalog + chunk index;
-//   - striped+jsync: journaling in the historical synchronous mode —
-//     every commit marshals, writes and flushes its journal record
-//     inside the dataset stripe's critical section, so journaled commits
-//     re-serialize on the journal mutex;
 //   - striped+jasync: journaling through the ordered async writer — the
-//     critical section only takes an order ticket, so the jasync/jsync
-//     tps ratio is the journal unserialization win measured in one run;
+//     critical section only takes an order ticket;
 //   - striped+jfsync: the async writer with group-commit fsync — every
 //     commit blocks until its batch is on disk, but concurrent commits
 //     share one fsync, so the jfsync/jasync ratio prices crash-proof
@@ -73,11 +68,10 @@ func ManagerLoad(cfg Config) error {
 	variants := []struct {
 		name    string
 		stripes int
-		journal string // "" | "sync" | "async" | "fsync"
+		journal string // "" | "async" | "fsync"
 	}{
 		{"single-mutex", 1, ""},
 		{"striped", 0, ""}, // manager default
-		{"striped+jsync", 0, "sync"},
 		{"striped+jasync", 0, "async"},
 		// Crash-durable commits through the group-commit fsync path: each
 		// commit waits for its batch's fsync, concurrent commits share it.
@@ -122,8 +116,6 @@ func ManagerLoad(cfg Config) error {
 	}
 	fmt.Fprintf(cfg.Out, "striped/single-mutex tps: %.2fx at 64 writers, %.2fx at 256 writers\n",
 		ratio("striped", "single-mutex", 64), ratio("striped", "single-mutex", 256))
-	fmt.Fprintf(cfg.Out, "async/sync journal tps: %.2fx at 64 writers, %.2fx at 256 writers (ordered async writer win)\n",
-		ratio("striped+jasync", "striped+jsync", 64), ratio("striped+jasync", "striped+jsync", 256))
 	var fsAmort float64
 	for _, c := range cells {
 		if c.Variant == "striped+jfsync" && c.Writers == writersSweep[len(writersSweep)-1] && c.JournalFsyncs > 0 {
@@ -174,7 +166,6 @@ func managerLoadCell(stripes int, journal string, writers int, dur time.Duration
 		}
 		defer os.RemoveAll(dir)
 		mcfg.JournalPath = filepath.Join(dir, "journal")
-		mcfg.SyncJournal = journal == "sync"
 		mcfg.FsyncJournal = journal == "fsync"
 	}
 	m, err := manager.New(mcfg)

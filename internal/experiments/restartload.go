@@ -84,11 +84,10 @@ func RestartLoad(cfg Config) error {
 			PruneInterval:       time.Hour,
 			MapCacheEntries:     mgrCache,
 			// A journaled metadata plane, in the configured mode: the
-			// seeding commits run through the ordered async writer by
-			// default, the -sync-journal historical baseline, or the
-			// -fsync-journal group-commit durable mode.
+			// seeding commits run through the ordered async writer,
+			// relaxed by default or in the -fsync-journal group-commit
+			// durable mode.
 			JournalPath:  filepath.Join(jdir, "journal"),
-			SyncJournal:  cfg.SyncJournal,
 			FsyncJournal: cfg.FsyncJournal,
 		},
 		GCGrace:    time.Hour,
@@ -286,7 +285,6 @@ func restartRecoveryCells(cfg Config, jdir string) ([]restartCell, error) {
 		PruneInterval:       time.Hour,
 		SessionTTL:          time.Hour,
 		JournalPath:         filepath.Join(rdir, "journal"),
-		SyncJournal:         cfg.SyncJournal,
 		FsyncJournal:        cfg.FsyncJournal,
 	}
 	seedBenefactors := func(m *manager.Manager) error {

@@ -115,6 +115,9 @@ func (ms *Membership) Epoch() uint64 { return ms.epoch }
 // and therefore the same member, which is what keeps a dataset's version
 // chain, content index entries and copy-on-write sharing member-local.
 func (ms *Membership) OwnerOf(name string) (index int, addr string) {
-	index = OwnerIndex(namespace.DatasetOf(name), len(ms.members))
+	// One member owns every key: skip parsing the name on each call.
+	if len(ms.members) > 1 {
+		index = OwnerIndex(namespace.DatasetOf(name), len(ms.members))
+	}
 	return index, ms.members[index]
 }

@@ -555,11 +555,15 @@ func (r *Router) PolicyDryRun(req proto.PolicyDryRunReq) (proto.PolicyDryRunResp
 // snapshot: partitioned quantities (datasets, versions, chunks, bytes,
 // transaction counters) sum; benefactor counts — every member sees the
 // same donor pool — take the maximum. Per-stripe detail stays per member
-// (MemberStats).
+// (MemberStats). A one-member router returns its member's snapshot
+// unchanged, per-stripe detail included.
 func (r *Router) ManagerStats() (proto.ManagerStats, error) {
 	all, err := r.MemberStats()
 	if err != nil {
 		return proto.ManagerStats{}, err
+	}
+	if len(all) == 1 {
+		return all[0], nil
 	}
 	agg := MergeStats(all)
 	agg.Federation = &proto.FederationInfo{

@@ -9,6 +9,7 @@ package grid
 import (
 	"fmt"
 	"net"
+	"strings"
 	"time"
 
 	"stdchk/internal/benefactor"
@@ -96,16 +97,6 @@ func (c *Cluster) ManagerAddrs() []string {
 
 // Federated reports whether the cluster runs more than one manager.
 func (c *Cluster) Federated() bool { return len(c.Managers) > 1 }
-
-// NewRouter builds a federation router over the cluster's metadata plane
-// (also usable with a single manager). The caller owns it — unless it is
-// handed to a client, which closes its endpoint itself.
-func (c *Cluster) NewRouter(shaper wire.Shaper) (*federation.Router, error) {
-	return federation.NewRouter(federation.RouterConfig{
-		Members: c.ManagerAddrs(),
-		Shaper:  shaper,
-	})
-}
 
 // Start launches the manager and benefactors and waits until every
 // benefactor has registered.
@@ -336,15 +327,8 @@ func (c *Cluster) RestartManager(cfg manager.Config, recover bool) error {
 // device.Unshaped() for tests.
 func (c *Cluster) NewClient(cfg client.Config, profile device.Profile) (*client.Client, *device.Node, error) {
 	node := device.NewNode(profile)
-	cfg.ManagerAddr = c.Manager.Addr()
+	cfg.ManagerAddr = strings.Join(c.ManagerAddrs(), ",")
 	cfg.Shaper = ShaperFor(node, c.Fabric)
-	if c.Federated() {
-		r, err := c.NewRouter(cfg.Shaper)
-		if err != nil {
-			return nil, nil, fmt.Errorf("grid: new client router: %w", err)
-		}
-		cfg.Endpoint = r // the client owns and closes it
-	}
 	if cfg.LocalDisk == nil {
 		cfg.LocalDisk = node.Disk
 	}

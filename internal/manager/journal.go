@@ -29,8 +29,7 @@ var (
 // benefactor-quorum recovery, which is also implemented; see recovery.go).
 //
 // Seq is the entry's order ticket, assigned inside the mutating stripe's
-// critical section in both journal modes, so it totals-orders journaled
-// mutations. Catalog snapshots record the ticket watermark their state
+// critical section, so it totals-orders journaled mutations. Catalog snapshots record the ticket watermark their state
 // includes; replay applies only entries past the newest snapshot's
 // watermark. Entries written before tickets existed decode as Seq 0 and
 // replay whenever no snapshot watermark excludes them.
@@ -52,21 +51,18 @@ type journalEntry struct {
 
 // journal is the append-only writer plus the entries found at open time.
 //
-// Two append modes share the type. Synchronous (historical) appends
-// marshal, write and flush inline under the journal mutex — callers hold
-// their dataset stripe's critical section, so every journaled mutation in
-// the process serializes on that mutex. Asynchronous (default) appends
-// only take an order ticket and enqueue: record assigns a strictly
-// increasing sequence number (inside the caller's stripe critical
-// section, which is what makes ticket order match publication order — see
-// catalog.journalHook) and a single writer goroutine appends entries in
-// ticket order, flushing when its queue goes quiet instead of per record.
-// Commits regain full stripe parallelism; the cost is a small window of
-// acknowledged-but-unjournaled entries that a process crash loses.
+// Appends only take an order ticket and enqueue: record assigns a
+// strictly increasing sequence number (inside the caller's stripe
+// critical section, which is what makes ticket order match publication
+// order — see catalog.journalHook) and a single writer goroutine appends
+// entries in ticket order, flushing when its queue goes quiet instead of
+// per record. Commits keep full stripe parallelism; the cost is a small
+// window of acknowledged-but-unjournaled entries that a process crash
+// loses.
 //
-// The fsync flag arms power-loss durability: the async writer fsyncs once
-// per drained batch and the sync writer once per record, so acknowledged
-// commits survive not just a process crash but the machine going dark.
+// The fsync flag arms power-loss durability: the writer fsyncs once per
+// drained batch, so acknowledged commits survive not just a process
+// crash but the machine going dark.
 // Fsynced appends are true group commit — the committer blocks until the
 // batch carrying its record is fsynced (see seqEntry.ack), so "acknowledged
 // but lost" cannot happen, while stripes that ticketed concurrently share
@@ -84,19 +80,17 @@ type journal struct {
 	path    string
 	entries []journalEntry
 
-	// sync selects the historical inline append mode; fsync arms
-	// per-batch (async) or per-record (sync) fsync.
-	sync  bool
+	// fsync arms a per-batch fsync.
 	fsync bool
 
 	// firstErr is the sticky first write/flush/fsync failure (guarded by
 	// mu).
 	firstErr error
 
-	// Async mode. closeMu lets concurrent records (RLock) ticket and
-	// enqueue in parallel while close (Lock) waits them out before
-	// closing the queue; seq is the order ticket; done signals the writer
-	// goroutine has drained and flushed.
+	// closeMu lets concurrent records (RLock) ticket and enqueue in
+	// parallel while close (Lock) waits them out before closing the
+	// queue; seq is the order ticket; done signals the writer goroutine
+	// has drained and flushed.
 	closeMu sync.RWMutex
 	closed  bool
 	seq     atomic.Uint64
@@ -133,14 +127,13 @@ const journalQueueDepth = 1024
 // openJournal reads any existing entries and opens the file for appends.
 // A torn final record (crash mid-append) is truncated away with a warning
 // — everything before it is intact, matching replay's historical
-// tolerance. syncMode selects inline (historical) appends; fsyncMode arms
-// group-commit (async) or per-record (sync) fsync. seqFloor lifts the
-// ticket counter past a snapshot's watermark (a truncated journal may hold
-// no entry at or below it); it must be final here, because the async
-// writer's in-order delivery assumes tickets are dense from its starting
-// point — raising seq after the writer starts would open a ticket gap it
-// waits on forever.
-func openJournal(path string, syncMode, fsyncMode bool, logf func(string, ...interface{}), seqFloor uint64) (*journal, error) {
+// tolerance. fsyncMode arms group-commit fsync. seqFloor lifts the ticket
+// counter past a snapshot's watermark (a truncated journal may hold no
+// entry at or below it); it must be final here, because the writer's
+// in-order delivery assumes tickets are dense from its starting point —
+// raising seq after the writer starts would open a ticket gap it waits on
+// forever.
+func openJournal(path string, fsyncMode bool, logf func(string, ...interface{}), seqFloor uint64) (*journal, error) {
 	entries, goodOff, torn, err := scanJournal(path)
 	if err != nil {
 		return nil, err
@@ -158,7 +151,7 @@ func openJournal(path string, syncMode, fsyncMode bool, logf func(string, ...int
 	if err != nil {
 		return nil, fmt.Errorf("open journal %s: %w", path, err)
 	}
-	j := &journal{f: f, w: bufio.NewWriter(f), path: path, entries: entries, sync: syncMode, fsync: fsyncMode, logf: logf}
+	j := &journal{f: f, w: bufio.NewWriter(f), path: path, entries: entries, fsync: fsyncMode, logf: logf}
 	// Resume ticketing above every persisted ticket and the snapshot
 	// watermark so new entries always order after replayed ones.
 	for _, e := range entries {
@@ -167,11 +160,9 @@ func openJournal(path string, syncMode, fsyncMode bool, logf func(string, ...int
 		}
 	}
 	j.raiseSeq(seqFloor)
-	if !syncMode {
-		j.queue = make(chan seqEntry, journalQueueDepth)
-		j.done = make(chan struct{})
-		go j.writeLoop(j.seq.Load() + 1)
-	}
+	j.queue = make(chan seqEntry, journalQueueDepth)
+	j.done = make(chan struct{})
+	go j.writeLoop(j.seq.Load() + 1)
 	return j, nil
 }
 
@@ -215,7 +206,7 @@ func scanJournal(path string) (entries []journalEntry, goodOff int64, torn bool,
 
 // raiseSeq lifts the ticket counter to at least v (snapshot watermark
 // floors: entries recorded after a snapshot must ticket past it). Only
-// valid before the async writer starts — see openJournal's seqFloor.
+// valid before the writer starts — see openJournal's seqFloor.
 func (j *journal) raiseSeq(v uint64) {
 	for {
 		cur := j.seq.Load()
@@ -240,43 +231,13 @@ func (j *journal) failLocked(err error) {
 	}
 }
 
-// record appends one entry. Synchronous mode tickets, writes, flushes (and
-// under fsync mode syncs) inline; asynchronous mode assigns the next order
-// ticket and enqueues, leaving marshal/write/flush to the writer
-// goroutine. durable asks the writer to fsync the batch carrying this
-// entry even when the journal's global fsync mode is off (per-folder
-// DurabilityFsync). After any write failure record fails fast: callers
-// must not acknowledge state the journal can no longer capture.
+// record assigns the entry the next order ticket and enqueues it, leaving
+// marshal/write/flush to the writer goroutine. durable asks the writer to
+// fsync the batch carrying this entry even when the journal's global
+// fsync mode is off (per-folder DurabilityFsync). After any write failure
+// record fails fast: callers must not acknowledge state the journal can
+// no longer capture.
 func (j *journal) record(e journalEntry, durable bool) error {
-	if j.sync {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		if j.f == nil {
-			return core.ErrClosed
-		}
-		if j.firstErr != nil {
-			return fmt.Errorf("journal: failing fast after earlier error: %w", j.firstErr)
-		}
-		e.Seq = j.seq.Add(1)
-		if err := j.appendLocked(e); err != nil {
-			j.failLocked(err)
-			return err
-		}
-		if err := j.w.Flush(); err != nil {
-			err = fmt.Errorf("journal: flush: %w", err)
-			j.failLocked(err)
-			return err
-		}
-		if j.fsync || durable {
-			if err := j.syncLocked(); err != nil {
-				j.failLocked(err)
-				return err
-			}
-		}
-		j.batches.Add(1)
-		j.batchLen.Add(1)
-		return nil
-	}
 	if err := j.stickyErr(); err != nil {
 		return fmt.Errorf("journal: failing fast after earlier error: %w", err)
 	}
@@ -332,7 +293,7 @@ func (j *journal) syncLocked() error {
 	return nil
 }
 
-// writeLoop is the async writer: it reorders arrivals into ticket order
+// writeLoop is the writer: it reorders arrivals into ticket order
 // (concurrent enqueuers can interleave between Add and send) and appends
 // each entry exactly when its ticket is next, flushing — and, in fsync
 // mode or when the batch carried a durable-hinted entry, fsyncing — once
@@ -517,21 +478,19 @@ func (j *journal) counters() (batches, batchLen, fsyncs, errs int64) {
 	return j.batches.Load(), j.batchLen.Load(), j.fsyncs.Load(), j.errs.Load()
 }
 
-// close drains the async queue (writing every acknowledged entry in
-// ticket order), flushes, and closes the file. It returns the journal's
-// sticky first write error, so callers learn about entries the writer
-// could not persist. Safe to call more than once; the manager guards it
-// with closeOnce.
+// close drains the queue (writing every acknowledged entry in ticket
+// order), flushes, and closes the file. It returns the journal's sticky
+// first write error, so callers learn about entries the writer could not
+// persist. Safe to call more than once; the manager guards it with
+// closeOnce.
 func (j *journal) close() error {
-	if !j.sync {
-		j.closeMu.Lock()
-		if !j.closed {
-			j.closed = true
-			close(j.queue)
-		}
-		j.closeMu.Unlock()
-		<-j.done
+	j.closeMu.Lock()
+	if !j.closed {
+		j.closed = true
+		close(j.queue)
 	}
+	j.closeMu.Unlock()
+	<-j.done
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f != nil {

@@ -15,23 +15,26 @@ import (
 )
 
 // The tests in this file pin the ordered async journal writer's contract:
-// ticket order equals the order the synchronous journal would have
-// written (so the two modes are byte-identical on a deterministic
-// workload), replaying an async journal written under racing COW/dedup
-// commits reconstructs exactly the live catalog's final state (in any
-// stripe layout — the PR 3 invariance harness extended to the async
-// writer), and a clean Close drains every acknowledged entry before the
-// file closes.
+// ticket order equals publication order (so a deterministic workload
+// yields exactly the bytes the historical inline writer produced),
+// replaying a journal written under racing COW/dedup commits reconstructs
+// exactly the live catalog's final state (in any stripe layout — the
+// PR 3 invariance harness extended to the async writer), and a clean
+// Close drains every acknowledged entry before the file closes.
+
+// sequentialGolden is the journal the historical synchronous writer
+// produced for driveSequentialJournal's workload, captured before that
+// writer was removed. The entries carry no timestamps, so the bytes are
+// deterministic.
+const sequentialGolden = "testdata/sequential.journal"
 
 // driveSequentialJournal pushes a fixed, deterministic workload through a
-// manager's handlers: no concurrency, so sync and async journals must
-// come out byte-identical.
-func driveSequentialJournal(t *testing.T, syncJournal bool) []byte {
+// manager's handlers with no concurrency and returns the journal bytes.
+func driveSequentialJournal(t *testing.T) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "seq.journal")
 	m, err := New(Config{
 		JournalPath:       path,
-		SyncJournal:       syncJournal,
 		HeartbeatInterval: time.Hour,
 		SessionTTL:        time.Hour,
 	})
@@ -71,46 +74,39 @@ func driveSequentialJournal(t *testing.T, syncJournal bool) []byte {
 
 // TestAsyncJournalByteIdenticalToSync: on a deterministic sequential
 // workload the ticket-ordered async writer must produce byte-for-byte
-// the journal the synchronous writer produces.
+// the journal the historical synchronous writer produced (the golden
+// file).
 func TestAsyncJournalByteIdenticalToSync(t *testing.T) {
-	syncRaw := driveSequentialJournal(t, true)
-	asyncRaw := driveSequentialJournal(t, false)
-	if len(syncRaw) == 0 {
-		t.Fatal("sync journal is empty")
+	want, err := os.ReadFile(sequentialGolden)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(syncRaw, asyncRaw) {
-		t.Fatalf("async journal diverged from sync journal:\nsync:  %s\nasync: %s", syncRaw, asyncRaw)
+	if len(want) == 0 {
+		t.Fatal("golden journal is empty")
+	}
+	if got := driveSequentialJournal(t); !bytes.Equal(want, got) {
+		t.Fatalf("async journal diverged from %s:\nwant: %s\ngot:  %s", sequentialGolden, want, got)
 	}
 }
 
 // TestAsyncJournalReplayMatchesLiveState: racing COW/dedup commits and
 // deletes journaled through the async writer must replay — in any stripe
 // layout, including the single-lock reference — to exactly the live
-// catalog's final state. The same property must hold in sync mode (it is
-// the PR 3 harness's contract), so both run here; a divergence isolates
-// whether the async ordering, not the workload, broke replay.
+// catalog's final state.
 func TestAsyncJournalReplayMatchesLiveState(t *testing.T) {
-	for _, mode := range []struct {
-		name        string
-		syncJournal bool
-	}{
-		{"async", false},
-		{"sync", true},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			journalPath, live := driveJournalWorkload(t, 8, 5, mode.syncJournal)
-			if len(live.Datasets) == 0 || len(live.Chunks) == 0 {
-				t.Fatal("live workload produced an empty catalog")
+	t.Run("async", func(t *testing.T) {
+		journalPath, live := driveJournalWorkload(t, 8, 5)
+		if len(live.Datasets) == 0 || len(live.Chunks) == 0 {
+			t.Fatal("live workload produced an empty catalog")
+		}
+		for _, stripes := range []int{1, 16} {
+			replayed := replayCatalogSnap(t, journalPath, stripes, false)
+			if !reflect.DeepEqual(live, replayed) {
+				t.Fatalf("journal replay with %d stripes diverged from live state:\nlive:     %+v\nreplayed: %+v",
+					stripes, live, replayed)
 			}
-			for _, stripes := range []int{1, 16} {
-				replayed := replayCatalogSnap(t, journalPath, stripes, false)
-				if !reflect.DeepEqual(live, replayed) {
-					t.Fatalf("%s-journal replay with %d stripes diverged from live state:\nlive:     %+v\nreplayed: %+v",
-						mode.name, stripes, live, replayed)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestAsyncJournalCloseDrains: every commit acknowledged before Close
@@ -175,7 +171,7 @@ func TestAsyncJournalCloseDrains(t *testing.T) {
 // TestAsyncJournalRecordAfterClose: a record attempted after close must
 // report ErrClosed, not hang or panic against the closed queue.
 func TestAsyncJournalRecordAfterClose(t *testing.T) {
-	j, err := openJournal(filepath.Join(t.TempDir(), "c.journal"), false, false, nil, 0)
+	j, err := openJournal(filepath.Join(t.TempDir(), "c.journal"), false, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

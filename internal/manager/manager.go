@@ -102,20 +102,15 @@ type Config struct {
 	// PruneInterval paces the folder-policy pruner.
 	PruneInterval time.Duration
 	// JournalPath, when set, persists commits/deletes/policies to an
-	// append-only journal replayed on restart.
+	// append-only journal replayed on restart. The commit critical section
+	// only takes an order ticket; a writer goroutine appends in ticket
+	// order, and a process crash can lose a small window of
+	// acknowledged-but-unjournaled entries (clean shutdown drains; see
+	// journal) unless FsyncJournal is set.
 	JournalPath string
-	// SyncJournal restores the historical journal mode: every commit and
-	// delete marshals, writes and flushes its journal record inline under
-	// the dataset stripe's critical section, serializing all journaled
-	// mutations on the journal mutex. The default (false) is the ordered
-	// async writer: the critical section only takes an order ticket, a
-	// writer goroutine appends in ticket order, and a process crash can
-	// lose a small window of acknowledged-but-unjournaled entries (clean
-	// shutdown drains; see journal).
-	SyncJournal bool
-	// FsyncJournal arms power-loss durability: the async journal writer
-	// fsyncs once per drained batch (group commit) and the sync writer
-	// once per record. Off, acknowledged commits survive a process crash
+	// FsyncJournal arms power-loss durability: the journal writer fsyncs
+	// once per drained batch (group commit) and each commit waits for its
+	// batch's fsync. Off, acknowledged commits survive a process crash
 	// (the OS page cache holds the appends) but not the machine going
 	// dark. Folders can demand fsync individually via their policy's
 	// Durability knob even when this is off.
@@ -298,7 +293,7 @@ func New(cfg Config) (*Manager, error) {
 		if err != nil {
 			return nil, fmt.Errorf("manager: load snapshot: %w", err)
 		}
-		j, err := openJournal(cfg.JournalPath, cfg.SyncJournal, cfg.FsyncJournal, m.logf, watermark)
+		j, err := openJournal(cfg.JournalPath, cfg.FsyncJournal, m.logf, watermark)
 		if err != nil {
 			return nil, fmt.Errorf("manager: %w", err)
 		}

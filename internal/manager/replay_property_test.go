@@ -112,18 +112,16 @@ func propChunkID(writer, t, j int, stable bool) core.ChunkID {
 // driveJournalWorkload runs concurrent writers against a journal-backed
 // manager through the real handler path: per writer a chain of versions
 // with copy-on-write chunk reuse, plus deletes and a folder policy, all
-// journaled — through the ordered async writer by default, or the
-// historical synchronous mode with syncJournal. Returns the journal path
+// journaled through the ordered async writer. Returns the journal path
 // and the live catalog's quiescent snapshot (newBytes excluded: which
 // racing commit first stores a shared chunk is interleaving-dependent),
 // taken before Close drains the journal.
-func driveJournalWorkload(t *testing.T, writers, versions int, syncJournal bool) (string, catSnap) {
+func driveJournalWorkload(t *testing.T, writers, versions int) (string, catSnap) {
 	t.Helper()
 	dir := t.TempDir()
 	journalPath := filepath.Join(dir, "manager.journal")
 	m, err := New(Config{
 		JournalPath:       journalPath,
-		SyncJournal:       syncJournal,
 		HeartbeatInterval: time.Hour,
 		SessionTTL:        time.Hour,
 	})
@@ -237,7 +235,7 @@ func replayCatalogSnap(t *testing.T, journalPath string, stripes int, withNewByt
 // with different stripe counts — including the single-lock reference
 // (stripes=1) — must produce identical metadata.
 func TestJournalReplayStripeInvariance(t *testing.T) {
-	journalPath, _ := driveJournalWorkload(t, 8, 5, false)
+	journalPath, _ := driveJournalWorkload(t, 8, 5)
 	ref := replayCatalog(t, journalPath, 1)
 	if len(ref.Datasets) == 0 || len(ref.Chunks) == 0 {
 		t.Fatal("reference replay rebuilt an empty catalog")
@@ -256,7 +254,7 @@ func TestJournalReplayStripeInvariance(t *testing.T) {
 // leaving a torn final record. Every stripe variant must replay the same
 // intact prefix and ignore the torn tail.
 func TestJournalReplayTornRecord(t *testing.T) {
-	journalPath, _ := driveJournalWorkload(t, 6, 4, false)
+	journalPath, _ := driveJournalWorkload(t, 6, 4)
 	raw, err := os.ReadFile(journalPath)
 	if err != nil {
 		t.Fatal(err)

@@ -17,12 +17,11 @@ import (
 // newJournaledManager starts a manager on a fresh journal for snapshot
 // tests, with benefactors registered so the real alloc/commit handler path
 // works.
-func newJournaledManager(t *testing.T, dir string, syncJournal, fsyncJournal bool) (*Manager, string) {
+func newJournaledManager(t *testing.T, dir string, fsyncJournal bool) (*Manager, string) {
 	t.Helper()
 	journalPath := filepath.Join(dir, "manager.journal")
 	m, err := New(Config{
 		JournalPath:       journalPath,
-		SyncJournal:       syncJournal,
 		FsyncJournal:      fsyncJournal,
 		HeartbeatInterval: time.Hour,
 		SessionTTL:        time.Hour,
@@ -69,21 +68,20 @@ func commitFile(t *testing.T, m *Manager, name string, seed, n int) {
 // TestSnapshotRecoveryEquivalentToFullReplay is the replay-equivalence
 // property extended to snapshots: a random commit/delete stream with
 // snapshots taken at random ticket positions must recover byte-identical
-// to a full-journal replay of the same history — in the async journal, the
-// async+group-commit-fsync journal, and the historical sync journal.
+// to a full-journal replay of the same history — in the async journal and
+// the async+group-commit-fsync journal.
 func TestSnapshotRecoveryEquivalentToFullReplay(t *testing.T) {
 	modes := []struct {
-		name        string
-		sync, fsync bool
+		name  string
+		fsync bool
 	}{
-		{"async", false, false},
-		{"async+fsync", false, true},
-		{"sync", true, false},
+		{"async", false},
+		{"async+fsync", true},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
 			dir := t.TempDir()
-			m, journalPath := newJournaledManager(t, dir, mode.sync, mode.fsync)
+			m, journalPath := newJournaledManager(t, dir, mode.fsync)
 			if err := m.Invoke(proto.MPolicySet, proto.PolicySetReq{
 				Folder: "sw", Policy: core.Policy{Kind: core.PolicyNone},
 			}, nil); err != nil {
@@ -177,7 +175,7 @@ func TestSnapshotTruncationBoundsRestart(t *testing.T) {
 	dir := t.TempDir()
 	// Group-commit fsync mode: commits block until their batch is on disk,
 	// so journal file sizes are deterministic at every measurement point.
-	m, journalPath := newJournaledManager(t, dir, false, true)
+	m, journalPath := newJournaledManager(t, dir, true)
 	for i := 0; i < 12; i++ {
 		commitFile(t, m, fmt.Sprintf("tb.n%d.t0", i), 200+i, 8)
 	}
@@ -234,7 +232,7 @@ func TestSnapshotTruncationBoundsRestart(t *testing.T) {
 // snapshot — recovery must still reproduce the full catalog.
 func TestSnapshotCorruptionFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	m, journalPath := newJournaledManager(t, dir, false, false)
+	m, journalPath := newJournaledManager(t, dir, false)
 	for i := 0; i < 6; i++ {
 		commitFile(t, m, fmt.Sprintf("cf.n%d.t0", i), 500+i, 4)
 	}
@@ -285,7 +283,7 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 // keep everything the snapshot covers.
 func TestSnapshotTornJournalAtTruncationBoundary(t *testing.T) {
 	dir := t.TempDir()
-	m, journalPath := newJournaledManager(t, dir, false, false)
+	m, journalPath := newJournaledManager(t, dir, false)
 	for i := 0; i < 5; i++ {
 		commitFile(t, m, fmt.Sprintf("tt.n%d.t0", i), 800+i, 4)
 	}
@@ -332,16 +330,15 @@ func TestSnapshotTornJournalAtTruncationBoundary(t *testing.T) {
 // surface in stats, and Close must return the sticky first error.
 func TestJournalErrorSurfacing(t *testing.T) {
 	for _, mode := range []struct {
-		name        string
-		sync, fsync bool
+		name  string
+		fsync bool
 	}{
-		{"sync", true, false},
-		{"async+fsync", false, true},
+		{"async+fsync", true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			defer faultpoint.Reset()
 			dir := t.TempDir()
-			m, _ := newJournaledManager(t, dir, mode.sync, mode.fsync)
+			m, _ := newJournaledManager(t, dir, mode.fsync)
 			commitFile(t, m, "je.n0.t0", 10, 4)
 			before := snapshotCatalog(m.cat, true)
 
@@ -393,7 +390,7 @@ func TestSnapshotFaultsAreAtomic(t *testing.T) {
 		t.Run(point, func(t *testing.T) {
 			defer faultpoint.Reset()
 			dir := t.TempDir()
-			m, journalPath := newJournaledManager(t, dir, false, false)
+			m, journalPath := newJournaledManager(t, dir, false)
 			for i := 0; i < 4; i++ {
 				commitFile(t, m, fmt.Sprintf("sf.n%d.t0", i), 20+i, 4)
 			}
@@ -596,7 +593,7 @@ func copyDir(t *testing.T, src, dst string) {
 // hung on its durability ack.
 func TestJournalTicketsResumeAfterReopen(t *testing.T) {
 	dir := t.TempDir()
-	m, journalPath := newJournaledManager(t, dir, false, true)
+	m, journalPath := newJournaledManager(t, dir, true)
 	for i := 0; i < 3; i++ {
 		commitFile(t, m, fmt.Sprintf("rx.n%d.t0", i), 50+i, 4)
 	}

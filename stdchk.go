@@ -48,7 +48,6 @@ import (
 	"stdchk/internal/client"
 	"stdchk/internal/core"
 	"stdchk/internal/device"
-	"stdchk/internal/federation"
 	"stdchk/internal/fsiface"
 	"stdchk/internal/grid"
 	"stdchk/internal/manager"
@@ -209,16 +208,7 @@ func (o Options) clientConfig() client.Config {
 // or a federation when ManagerAddr lists several members (same syntax as
 // the stdchk CLI's -manager flag).
 func Connect(opts Options) (*Client, error) {
-	cfg := opts.clientConfig()
-	if members := federation.SplitMembers(opts.ManagerAddr); len(members) > 1 {
-		r, err := federation.NewRouter(federation.RouterConfig{Members: members})
-		if err != nil {
-			return nil, err
-		}
-		cfg.ManagerAddr = ""
-		cfg.Endpoint = r // the client owns and closes it
-	}
-	inner, err := client.New(cfg)
+	inner, err := client.New(opts.clientConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -235,13 +225,6 @@ func (c *Client) Create(name string) (*Writer, error) { return c.inner.Create(na
 // newest AsOf an instant, incremental restore against a Baseline).
 func (c *Client) Open(name string, opts ...OpenOptions) (*Reader, error) {
 	return c.inner.Open(name, opts...)
-}
-
-// OpenVersion opens a specific version (0 = latest).
-//
-// Deprecated: use Open(name, OpenOptions{Version: v}).
-func (c *Client) OpenVersion(name string, v VersionID) (*Reader, error) {
-	return c.inner.OpenVersion(name, v)
 }
 
 // History reports a dataset's version lineage, oldest first: identity,
